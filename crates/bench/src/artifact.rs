@@ -3,14 +3,16 @@
 //! re-anchors) can read the performance trajectory of the repo without
 //! re-running old builds.
 //!
-//! The writer emits the JSON by hand (the workspace carries no serde);
-//! [`validate_artifact`] is the matching checker — a small strict JSON
-//! parser plus required-key and finite-number rules — run by CI and by
-//! `ridl benchcheck`.
+//! The writer lays the JSON out by hand, escaping and spelling numbers
+//! through [`ridl_obs::json`]; [`validate_artifact`] is the matching
+//! checker — the same codec's parser plus required-key and finite-number
+//! rules — run by CI and by `ridl benchcheck`.
 
 use std::collections::BTreeSet;
 use std::io;
 use std::path::Path;
+
+use ridl_obs::json::{or_null, parse, quote, Json};
 
 /// Artifact schema version; bump when the layout changes shape.
 ///
@@ -241,35 +243,6 @@ pub struct BenchArtifact {
     pub server: Option<ServerSummary>,
 }
 
-/// Formats a float: finite values in shortest-roundtrip form, non-finite
-/// values as `0` (the validator rejects non-finite spellings, so the
-/// writer must never emit them; phases guard their own divisions).
-fn num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "0".to_owned()
-    }
-}
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 impl BenchArtifact {
     /// Renders the artifact as pretty-printed JSON.
     pub fn to_json(&self) -> String {
@@ -283,21 +256,17 @@ impl BenchArtifact {
         s.push_str(&format!("  \"tables\": {},\n", self.tables));
         s.push_str(&format!("  \"constraints\": {},\n", self.constraints));
         s.push_str("  \"phases\": [\n");
-        let opt = |v: Option<u64>| match v {
-            Some(n) => n.to_string(),
-            None => "null".to_owned(),
-        };
         for (i, p) in self.phases.iter().enumerate() {
             s.push_str(&format!(
                 "    {{\"name\": {}, \"seconds\": {}, \"units\": {}, \"per_second\": {}, \
                  \"p50_ns\": {}, \"p90_ns\": {}, \"p99_ns\": {}}}{}\n",
-                json_str(&p.name),
-                num(p.seconds),
+                quote(&p.name),
+                Json::Float(p.seconds),
                 p.units,
-                num(p.per_second),
-                opt(p.p50_ns),
-                opt(p.p90_ns),
-                opt(p.p99_ns),
+                Json::Float(p.per_second),
+                or_null(p.p50_ns),
+                or_null(p.p90_ns),
+                or_null(p.p99_ns),
                 if i + 1 < self.phases.len() { "," } else { "" },
             ));
         }
@@ -306,7 +275,7 @@ impl BenchArtifact {
         for (i, c) in self.per_class.iter().enumerate() {
             s.push_str(&format!(
                 "    {{\"class\": {}, \"checks\": {}, \"violations\": {}, \"nanos\": {}}}{}\n",
-                json_str(c.class),
+                quote(c.class),
                 c.checks,
                 c.violations,
                 c.nanos,
@@ -323,12 +292,12 @@ impl BenchArtifact {
              \"bytes\": {}}},\n",
             self.wal.replay_units,
             self.wal.replay_ops,
-            num(self.wal.replay_ops_per_sec),
+            Json::Float(self.wal.replay_ops_per_sec),
             self.wal.bytes,
         ));
         s.push_str(&format!(
             "  \"recovery\": {{\"seconds\": {}}},\n",
-            num(self.recovery_seconds)
+            Json::Float(self.recovery_seconds)
         ));
         if let Some(c) = &self.checkpoint {
             s.push_str(&format!(
@@ -336,9 +305,9 @@ impl BenchArtifact {
                  \"delta_bytes\": {}, \"delta_seconds\": {}, \"dirty_extents\": {}, \
                  \"total_extents\": {}, \"churn_rows\": {}}},\n",
                 c.full_bytes,
-                num(c.full_seconds),
+                Json::Float(c.full_seconds),
                 c.delta_bytes,
-                num(c.delta_seconds),
+                Json::Float(c.delta_seconds),
                 c.dirty_extents,
                 c.total_extents,
                 c.churn_rows,
@@ -373,8 +342,8 @@ impl BenchArtifact {
                 v.reads,
                 v.writes,
                 v.anomalies,
-                num(v.seconds),
-                num(v.ops_per_sec),
+                Json::Float(v.seconds),
+                Json::Float(v.ops_per_sec),
                 v.read_p50_ns,
                 v.read_p99_ns,
                 v.write_p50_ns,
@@ -389,7 +358,7 @@ impl BenchArtifact {
             self.sigex_examples,
             self.sigex_classes
                 .iter()
-                .map(|c| json_str(c))
+                .map(|c| quote(c).to_string())
                 .collect::<Vec<_>>()
                 .join(", "),
         ));
@@ -406,7 +375,7 @@ impl BenchArtifact {
     }
 }
 
-// ---- the validator: a strict little JSON scanner ----
+// ---- the validator: the codec's parser plus key and number rules ----
 
 /// Keys that must appear somewhere in a valid artifact.
 const REQUIRED_KEYS: [&str; 25] = [
@@ -484,257 +453,67 @@ const SERVER_KEYS: [&str; 17] = [
     "commit_batch_max",
 ];
 
-struct Scanner<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    keys: BTreeSet<String>,
-    numbers: Vec<f64>,
-}
+/// The key set each schema version added, in version order: a v`n`
+/// artifact must carry the first `n` sets. Sized by [`SCHEMA_VERSION`],
+/// so bumping the version without adding its keys does not compile.
+const SCHEMA_KEYS: [(&str, &[&str]); SCHEMA_VERSION as usize] = [
+    ("required", &REQUIRED_KEYS),
+    ("checkpoint", &CHECKPOINT_KEYS),
+    ("wal_metrics", &WAL_METRICS_KEYS),
+    ("server", &SERVER_KEYS),
+];
 
-impl<'a> Scanner<'a> {
-    fn new(text: &'a str) -> Self {
-        Self {
-            bytes: text.as_bytes(),
-            pos: 0,
-            keys: BTreeSet::new(),
-            numbers: Vec::new(),
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while let Some(b) = self.bytes.get(self.pos) {
-            if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected '{}' at byte {}", char::from(b), self.pos))
-        }
-    }
-
-    fn value(&mut self) -> Result<(), String> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => self.string().map(|_| ()),
-            Some(b't') => self.literal("true"),
-            Some(b'f') => self.literal("false"),
-            Some(b'n') => self.literal("null"),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            Some(b) => Err(format!(
-                "unexpected byte '{}' at {}",
-                char::from(b),
-                self.pos
-            )),
-            None => Err("unexpected end of input".to_owned()),
-        }
-    }
-
-    fn object(&mut self) -> Result<(), String> {
-        self.expect(b'{')?;
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(());
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.keys.insert(key);
-            self.skip_ws();
-            self.expect(b':')?;
-            self.value()?;
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(());
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<(), String> {
-        self.expect(b'[')?;
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(());
-        }
-        loop {
-            self.value()?;
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(());
-                }
-                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let start = self.pos;
-        let mut out = String::new();
-        while let Some(b) = self.peek() {
-            match b {
-                b'"' => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                b'\\' => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b'b' | b'f') => out.push(' '),
-                        Some(b'u') => {
-                            // \uXXXX — accept and decode the BMP scalar.
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let s = std::str::from_utf8(hex).map_err(|e| e.to_string())?;
-                            let n = u32::from_str_radix(s, 16).map_err(|e| e.to_string())?;
-                            out.push(char::from_u32(n).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
-                        _ => return Err(format!("bad escape at byte {}", self.pos)),
-                    }
-                    self.pos += 1;
-                }
-                _ => {
-                    // Consume one UTF-8 scalar.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| format!("invalid UTF-8 at byte {}", self.pos))?;
-                    let c = s.chars().next().ok_or("unexpected end of string")?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-        Err(format!("unterminated string starting at byte {start}"))
-    }
-
-    fn number(&mut self) -> Result<(), String> {
-        let start = self.pos;
-        while let Some(b) = self.peek() {
-            if matches!(b, b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-        let s = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii digits");
-        let v: f64 = s
-            .parse()
-            .map_err(|_| format!("bad number '{s}' at byte {start}"))?;
-        if !v.is_finite() {
-            return Err(format!("non-finite number '{s}' at byte {start}"));
-        }
-        self.numbers.push(v);
-        Ok(())
-    }
-
-    fn literal(&mut self, lit: &str) -> Result<(), String> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(())
-        } else {
-            Err(format!("bad literal at byte {}", self.pos))
-        }
-    }
-}
-
-/// Validates the text of a `BENCH_*.json` artifact: it must be a single
-/// well-formed JSON document, every number must be finite, every
-/// [`REQUIRED_KEYS`] entry must appear, `schema_version` must match, and
-/// the `phases` and `per_class` arrays must be non-empty (their inner
-/// keys are in the required set, so an empty array fails the key check).
-pub fn validate_artifact(text: &str) -> Result<(), String> {
-    let mut sc = Scanner::new(text);
-    sc.skip_ws();
-    if sc.peek() != Some(b'{') {
+/// Validates the text of a `BENCH_*.json` artifact and returns its parsed
+/// tree: it must be a single well-formed JSON object, every number must
+/// be finite, its `schema_version` must be 1 to [`SCHEMA_VERSION`], and every
+/// key that version requires must appear somewhere in the document. The
+/// `phases` and `per_class` arrays must be non-empty: their inner keys
+/// are in the required set, so an empty array fails the key check.
+pub fn validate_artifact(text: &str) -> Result<Json, String> {
+    let doc = parse(text)?;
+    if !matches!(doc, Json::Obj(_)) {
         return Err("artifact must be a JSON object".to_owned());
     }
-    sc.object()?;
-    sc.skip_ws();
-    if sc.pos != sc.bytes.len() {
-        return Err(format!("trailing garbage at byte {}", sc.pos));
-    }
-    for key in REQUIRED_KEYS {
-        if !sc.keys.contains(key) {
-            return Err(format!("missing required key \"{key}\""));
+    let mut keys = BTreeSet::new();
+    collect_keys(&doc, &mut keys)?;
+    let version = doc
+        .get("schema_version")
+        .and_then(Json::as_f64)
+        .ok_or("artifact carries no schema_version number")? as u64;
+    let groups = match version {
+        1..=SCHEMA_VERSION => &SCHEMA_KEYS[..version as usize],
+        _ => return Err(format!("unsupported artifact schema_version {version}")),
+    };
+    for (group, required) in groups {
+        if let Some(key) = required.iter().find(|k| !keys.contains(*k)) {
+            return Err(format!(
+                "schema v{version} artifact missing {group} key \"{key}\""
+            ));
         }
     }
-    let version = extract_number(text, "schema_version")
-        .ok_or("artifact carries no schema_version number")?;
-    match version as u64 {
-        1 => {}
-        v @ 2..=4 => {
-            for key in CHECKPOINT_KEYS {
-                if !sc.keys.contains(key) {
-                    return Err(format!(
-                        "schema v{v} artifact missing checkpoint key \"{key}\""
-                    ));
-                }
-            }
-            if v >= 3 {
-                for key in WAL_METRICS_KEYS {
-                    if !sc.keys.contains(key) {
-                        return Err(format!(
-                            "schema v{v} artifact missing wal_metrics key \"{key}\""
-                        ));
-                    }
-                }
-            }
-            if v >= 4 {
-                for key in SERVER_KEYS {
-                    if !sc.keys.contains(key) {
-                        return Err(format!("schema v{v} artifact missing server key \"{key}\""));
-                    }
-                }
-            }
-        }
-        v => return Err(format!("unsupported artifact schema_version {v}")),
-    }
-    Ok(())
+    Ok(doc)
 }
 
-/// Pulls the numeric value of the *first* occurrence of `"key": <number>`
-/// out of an artifact. Only meaningful for keys that appear once (the
-/// top-level scalars and the `checkpoint` object fields).
-pub fn extract_number(text: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\"");
-    let at = text.find(&needle)? + needle.len();
-    let rest = text[at..].trim_start().strip_prefix(':')?.trim_start();
-    let end = rest
-        .find(|c: char| !matches!(c, '-' | '+' | '.' | 'e' | 'E' | '0'..='9'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
+/// Collects every object key in `v`, rejecting non-finite numbers.
+fn collect_keys<'a>(v: &'a Json, keys: &mut BTreeSet<&'a str>) -> Result<(), String> {
+    match v {
+        Json::Float(x) if !x.is_finite() => Err(format!("non-finite number {x}")),
+        Json::Arr(items) => items.iter().try_for_each(|item| collect_keys(item, keys)),
+        Json::Obj(map) => map.iter().try_for_each(|(k, v)| {
+            keys.insert(k);
+            collect_keys(v, keys)
+        }),
+        _ => Ok(()),
+    }
+}
+
+/// A number from a parsed artifact: `key` at the top level, else inside
+/// the `checkpoint` object.
+pub fn extract_number(artifact: &Json, key: &str) -> Option<f64> {
+    artifact
+        .get(key)
+        .or_else(|| artifact.get("checkpoint")?.get(key))
+        .and_then(Json::as_f64)
 }
 
 /// Asserts that incremental checkpoints scale with *churn*, not with
@@ -761,27 +540,30 @@ pub fn extract_number(text: &str, key: &str) -> Option<f64> {
 /// though the rewrite is churn-bound; the ratio and the dirty-extent
 /// count are the quantization-immune observables.
 pub fn check_checkpoint_scaling(small: &str, large: &str) -> Result<(), String> {
-    validate_artifact(small).map_err(|e| format!("small artifact: {e}"))?;
-    validate_artifact(large).map_err(|e| format!("large artifact: {e}"))?;
-    let get = |text: &str, key: &str, which: &str| {
-        extract_number(text, key).ok_or(format!("{which} artifact has no \"{key}\" number"))
+    let small = validate_artifact(small).map_err(|e| format!("small artifact: {e}"))?;
+    let large = validate_artifact(large).map_err(|e| format!("large artifact: {e}"))?;
+    let get = |doc: &Json, key: &str, which: &str| {
+        extract_number(doc, key).ok_or(format!("{which} artifact has no \"{key}\" number"))
     };
     let mut ratios = [0.0f64; 2];
-    for (i, (text, which)) in [(small, "small"), (large, "large")].into_iter().enumerate() {
-        let full = get(text, "full_bytes", which)?;
-        let delta = get(text, "delta_bytes", which)?;
+    for (i, (doc, which)) in [(&small, "small"), (&large, "large")]
+        .into_iter()
+        .enumerate()
+    {
+        let full = get(doc, "full_bytes", which)?;
+        let delta = get(doc, "delta_bytes", which)?;
         if full <= 0.0 || delta <= 0.0 {
             return Err(format!(
                 "{which} run wrote an empty snapshot (full {full} bytes, delta {delta} bytes)"
             ));
         }
-        if get(text, "target_rows", which)? >= 20_000.0 && delta >= 0.20 * full {
+        if get(doc, "target_rows", which)? >= 20_000.0 && delta >= 0.20 * full {
             return Err(format!(
                 "{which} delta wrote {delta} bytes, not under 20% of the {full}-byte full snapshot"
             ));
         }
-        let dirty = get(text, "dirty_extents", which)?;
-        let churn = get(text, "churn_rows", which)?;
+        let dirty = get(doc, "dirty_extents", which)?;
+        let churn = get(doc, "churn_rows", which)?;
         if dirty > churn {
             return Err(format!(
                 "{which} delta rewrote {dirty} extents for only {churn} churned row ops — \
@@ -790,8 +572,8 @@ pub fn check_checkpoint_scaling(small: &str, large: &str) -> Result<(), String> 
         }
         ratios[i] = delta / full;
     }
-    let small_rows = get(small, "rows_loaded", "small")?;
-    let large_rows = get(large, "rows_loaded", "large")?;
+    let small_rows = get(&small, "rows_loaded", "small")?;
+    let large_rows = get(&large, "rows_loaded", "large")?;
     if large_rows < 3.0 * small_rows {
         return Err(format!(
             "large run loaded {large_rows} rows, need at least 3x the small run's {small_rows}"
@@ -964,10 +746,10 @@ mod tests {
 
     #[test]
     fn extract_number_reads_scalars() {
-        let text = sample().to_json();
-        assert_eq!(extract_number(&text, "full_bytes"), Some(500_000.0));
-        assert_eq!(extract_number(&text, "rows_loaded"), Some(1042.0));
-        assert_eq!(extract_number(&text, "no_such_key"), None);
+        let doc = validate_artifact(&sample().to_json()).unwrap();
+        assert_eq!(extract_number(&doc, "full_bytes"), Some(500_000.0));
+        assert_eq!(extract_number(&doc, "rows_loaded"), Some(1042.0));
+        assert_eq!(extract_number(&doc, "no_such_key"), None);
     }
 
     #[test]

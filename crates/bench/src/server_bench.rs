@@ -29,9 +29,9 @@ use std::time::Instant;
 
 use ridl_brm::DataType;
 use ridl_engine::{Database, FsyncPolicy, StdIo};
+use ridl_obs::json::{obj, Json};
 use ridl_obs::Histogram;
 use ridl_relational::{Column, RelConstraintKind, RelSchema, Table};
-use ridl_server::json::{obj, Json};
 use ridl_server::{Client, Server, ServerConfig};
 
 use crate::artifact::ServerSummary;

@@ -22,6 +22,8 @@
 use std::io;
 use std::path::Path;
 
+use ridl_obs::json::{or_null, quote};
+
 use crate::io::DurableIo;
 use crate::pagesnap::{decode_paged, PagedSnap, SnapFlavor, SNAP2_MAGIC};
 use crate::snapshot::decode_snapshot;
@@ -354,22 +356,6 @@ pub fn inspect_store(io: &dyn DurableIo, dir: &Path) -> io::Result<StoreStatus> 
     Ok(out)
 }
 
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 impl StoreStatus {
     /// Machine-readable JSON (one object, pretty enough to diff). The
     /// schema is stable for CI: `verdict`, `epoch`, `chain`, `wal`,
@@ -378,43 +364,29 @@ impl StoreStatus {
     pub fn to_json(&self) -> String {
         let mut s = String::new();
         s.push_str("{\n");
-        s.push_str(&format!("  \"dir\": \"{}\",\n", esc(&self.dir)));
+        s.push_str(&format!("  \"dir\": {},\n", quote(&self.dir)));
         s.push_str(&format!("  \"verdict\": \"{}\",\n", self.verdict()));
-        match self.epoch {
-            Some(e) => s.push_str(&format!("  \"epoch\": {e},\n")),
-            None => s.push_str("  \"epoch\": null,\n"),
-        }
-        s.push_str("  \"chain\": {");
-        match self.base_file {
-            Some(f) => s.push_str(&format!("\"base_file\": \"{f}\", ")),
-            None => s.push_str("\"base_file\": null, "),
-        }
+        s.push_str(&format!("  \"epoch\": {},\n", or_null(self.epoch)));
         let base = self
             .checkpoints
             .iter()
             .find(|c| c.chained && c.flavor == "base");
-        match base {
-            Some(b) => s.push_str(&format!(
-                "\"format\": {}, \"base_epoch\": {}, \"deltas\": {}}},\n",
-                b.format, b.epoch, self.chain_len
-            )),
-            None => s.push_str(&format!(
-                "\"format\": 0, \"base_epoch\": null, \"deltas\": {}}},\n",
-                self.chain_len
-            )),
-        }
+        s.push_str(&format!(
+            "  \"chain\": {{\"base_file\": {}, \"format\": {}, \"base_epoch\": {}, \"deltas\": {}}},\n",
+            or_null(self.base_file.map(quote)),
+            base.map_or(0, |b| b.format),
+            or_null(base.map(|b| b.epoch)),
+            self.chain_len
+        ));
         s.push_str("  \"wal\": {");
         if self.wal.present {
-            match self.wal.header {
-                Some((e, fp)) => s.push_str(&format!(
-                    "\"present\": true, \"bytes\": {}, \"epoch\": {e}, \"fingerprint\": \"{fp:#018x}\", ",
-                    self.wal.bytes
-                )),
-                None => s.push_str(&format!(
-                    "\"present\": true, \"bytes\": {}, \"epoch\": null, \"fingerprint\": null, ",
-                    self.wal.bytes
-                )),
-            }
+            let (epoch, fingerprint) = self.wal.header.unzip();
+            s.push_str(&format!(
+                "\"present\": true, \"bytes\": {}, \"epoch\": {}, \"fingerprint\": {}, ",
+                self.wal.bytes,
+                or_null(epoch),
+                or_null(fingerprint.map(|fp| format!("\"{fp:#018x}\"")))
+            ));
             s.push_str(&format!(
                 "\"units\": {}, \"ops\": {}, \"committed_bytes\": {}, \"torn_bytes\": {}, \"stale\": {}}},\n",
                 self.wal.units,
@@ -432,11 +404,11 @@ impl StoreStatus {
                 s.push_str(", ");
             }
             s.push_str(&format!(
-                "{{\"file\": \"{}\", \"bytes\": {}, \"format\": {}, \"flavor\": \"{}\", \"epoch\": {}, \"fingerprint\": \"{:#018x}\", \"extents_carried\": {}, \"extents_total\": {}, \"chained\": {}}}",
-                esc(&c.file),
+                "{{\"file\": {}, \"bytes\": {}, \"format\": {}, \"flavor\": {}, \"epoch\": {}, \"fingerprint\": \"{:#018x}\", \"extents_carried\": {}, \"extents_total\": {}, \"chained\": {}}}",
+                quote(&c.file),
                 c.bytes,
                 c.format,
-                c.flavor,
+                quote(c.flavor),
                 c.epoch,
                 c.fingerprint,
                 c.extents_carried,
@@ -451,9 +423,9 @@ impl StoreStatus {
                 s.push_str(", ");
             }
             s.push_str(&format!(
-                "{{\"file\": \"{}\", \"error\": \"{}\"}}",
-                esc(f),
-                esc(e)
+                "{{\"file\": {}, \"error\": {}}}",
+                quote(f),
+                quote(e)
             ));
         }
         s.push_str("],\n");
@@ -467,14 +439,14 @@ impl StoreStatus {
                 if i > 0 {
                     s.push_str(", ");
                 }
-                s.push_str(&format!("\"{}\"", esc(item)));
+                s.push_str(&quote(item).to_string());
             }
             s.push_str("],\n");
         }
-        match &self.corrupt {
-            Some(why) => s.push_str(&format!("  \"corrupt\": \"{}\"\n", esc(why))),
-            None => s.push_str("  \"corrupt\": null\n"),
-        }
+        s.push_str(&format!(
+            "  \"corrupt\": {}\n",
+            or_null(self.corrupt.as_deref().map(quote))
+        ));
         s.push('}');
         s
     }

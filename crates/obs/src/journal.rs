@@ -30,8 +30,8 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
-use crate::sink::json_escape;
-use crate::span::AttrValue;
+use crate::json::quote;
+use crate::span::{push_attrs_json, AttrValue};
 
 /// Event severity, ordered: `Debug < Info < Warn < Error`.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
@@ -212,33 +212,18 @@ pub fn overwritten() -> u64 {
         .sum()
 }
 
-fn attr_json(v: &AttrValue) -> String {
-    match v {
-        AttrValue::Str(s) => format!("\"{}\"", json_escape(s)),
-        AttrValue::U64(n) => n.to_string(),
-        AttrValue::I64(n) => n.to_string(),
-        AttrValue::Bool(b) => b.to_string(),
-    }
-}
-
 /// Renders one event as a single JSON line (no trailing newline).
 pub fn event_json(e: &JournalEvent) -> String {
     let mut out = format!(
-        "{{\"seq\":{},\"t_ns\":{},\"sev\":\"{}\",\"kind\":\"{}\"",
+        "{{\"seq\":{},\"t_ns\":{},\"sev\":\"{}\",\"kind\":{}",
         e.seq,
         e.t_ns,
         e.severity.name(),
-        json_escape(e.kind)
+        quote(e.kind)
     );
     if !e.attrs.is_empty() {
-        out.push_str(",\"attrs\":{");
-        for (i, (k, v)) in e.attrs.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{}\":{}", json_escape(k), attr_json(v)));
-        }
-        out.push('}');
+        out.push_str(",\"attrs\":");
+        push_attrs_json(&mut out, &e.attrs);
     }
     out.push('}');
     out
@@ -511,7 +496,7 @@ mod tests {
                 record(
                     Severity::Warn,
                     "test.p.json",
-                    vec![("s", AttrValue::Str(s)), ("n", AttrValue::U64(n))],
+                    vec![("s", AttrValue::Str(s.clone())), ("n", AttrValue::U64(n))],
                 );
                 let (events, ov) = take_events();
                 let text = to_jsonl(&events, ov);
@@ -525,6 +510,10 @@ mod tests {
                 }
                 prop_assert!(lines[1].contains("\"kind\":\"test.p.json\""));
                 prop_assert!(lines[1].contains(&format!("\"n\":{n}")));
+                // And each line reads back through the codec's parser.
+                let event = crate::json::parse(lines[1]).unwrap();
+                let attr = |k: &str| event.get("attrs").and_then(|a| a.get(k)).cloned();
+                prop_assert_eq!(attr("s"), Some(crate::json::Json::Str(s)));
             }
         }
     }

@@ -1,13 +1,23 @@
-//! A minimal JSON value model, parser and writer (std only).
+//! The workspace's one JSON codec: a value model, a parser and the
+//! writers (std only).
 //!
-//! The wire protocol is line-delimited JSON; the workspace deliberately
-//! carries no serde, so this module hand-rolls the little JSON the
-//! protocol needs: objects, arrays, strings (with escapes), integers,
-//! floats, booleans and null. Numbers without fraction/exponent parse as
-//! `i64` (row values are exact); anything else as `f64`.
+//! The wire protocol, the journal dump, the Chrome trace, the metric
+//! lines, `ridl status --json` and the `BENCH_*.json` artifact all escape,
+//! spell numbers and parse through this module; the workspace
+//! deliberately carries no serde. Numbers without fraction/exponent parse
+//! as `i64` (row values are exact); anything else — including integer
+//! literals outside the `i64` range — as `f64`.
+//!
+//! [`parse`] takes untrusted input: nesting deeper than [`MAX_DEPTH`] is
+//! an error, not a recursion that can overflow the stack.
 
 use std::collections::BTreeMap;
 use std::fmt;
+
+/// Deepest array/object nesting [`parse`] accepts. Every document the
+/// workspace writes nests a handful of levels; the bound keeps a hostile
+/// line of `[`s from overflowing the parsing thread's stack.
+pub const MAX_DEPTH: usize = 128;
 
 /// A parsed JSON value.
 #[derive(Clone, PartialEq, Debug)]
@@ -18,7 +28,7 @@ pub enum Json {
     Bool(bool),
     /// An integral number.
     Int(i64),
-    /// A non-integral number.
+    /// A non-integral number, or an integer outside the `i64` range.
     Float(f64),
     /// A string.
     Str(String),
@@ -54,6 +64,15 @@ impl Json {
     pub fn as_i64(&self) -> Option<i64> {
         match self {
             Json::Int(n) => Some(*n),
+            _ => None,
+        }
+    }
+
+    /// Any number as `f64`.
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            Json::Int(n) => Some(*n as f64),
+            Json::Float(x) => Some(*x),
             _ => None,
         }
     }
@@ -120,27 +139,64 @@ impl fmt::Display for Json {
     }
 }
 
-fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
-    write!(f, "\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => write!(f, "\\\"")?,
-            '\\' => write!(f, "\\\\")?,
-            '\n' => write!(f, "\\n")?,
-            '\r' => write!(f, "\\r")?,
-            '\t' => write!(f, "\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => write!(f, "{c}")?,
+/// Displays `s` as a quoted JSON string literal — the escaper for
+/// emitters that lay out their own documents.
+pub fn quote(s: &str) -> impl fmt::Display + '_ {
+    struct Quoted<'a>(&'a str);
+    impl fmt::Display for Quoted<'_> {
+        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+            write_escaped(f, self.0)
         }
     }
-    write!(f, "\"")
+    Quoted(s)
 }
 
-/// Parses one JSON document, rejecting trailing garbage.
+/// Displays `Some(n)` as `n` and `None` as `null`.
+pub fn or_null<T: fmt::Display>(v: Option<T>) -> impl fmt::Display {
+    struct OrNull<T>(Option<T>);
+    impl<T: fmt::Display> fmt::Display for OrNull<T> {
+        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+            match &self.0 {
+                Some(v) => v.fmt(f),
+                None => f.write_str("null"),
+            }
+        }
+    }
+    OrNull(v)
+}
+
+fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
+    f.write_str("\"")?;
+    let mut run = 0;
+    for (i, c) in s.char_indices() {
+        let esc = match c {
+            '"' => "\\\"",
+            '\\' => "\\\\",
+            '\n' => "\\n",
+            '\r' => "\\r",
+            '\t' => "\\t",
+            c if (c as u32) < 0x20 => "",
+            _ => continue,
+        };
+        f.write_str(&s[run..i])?;
+        if esc.is_empty() {
+            write!(f, "\\u{:04x}", c as u32)?;
+        } else {
+            f.write_str(esc)?;
+        }
+        run = i + c.len_utf8();
+    }
+    f.write_str(&s[run..])?;
+    f.write_str("\"")
+}
+
+/// Parses one JSON document, rejecting trailing garbage and nesting
+/// deeper than [`MAX_DEPTH`].
 pub fn parse(input: &str) -> Result<Json, String> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -154,6 +210,7 @@ pub fn parse(input: &str) -> Result<Json, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -191,12 +248,23 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[' | b'{') if self.depth == MAX_DEPTH => Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            )),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             Some(c) => Err(format!("unexpected '{}' at byte {}", c as char, self.pos)),
             None => Err("unexpected end of input".into()),
         }
+    }
+
+    fn nested(&mut self, f: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        self.depth += 1;
+        let v = f(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Json, String> {
@@ -355,15 +423,14 @@ impl Parser<'_> {
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
             .map_err(|_| "bad number".to_string())?;
-        if float {
-            text.parse::<f64>()
-                .map(Json::Float)
-                .map_err(|_| format!("bad number '{text}'"))
-        } else {
-            text.parse::<i64>()
-                .map(Json::Int)
-                .map_err(|_| format!("bad number '{text}'"))
+        if !float {
+            if let Ok(n) = text.parse::<i64>() {
+                return Ok(Json::Int(n));
+            }
         }
+        text.parse::<f64>()
+            .map(Json::Float)
+            .map_err(|_| format!("bad number '{text}'"))
     }
 }
 
@@ -396,6 +463,11 @@ mod tests {
         assert_eq!(v.as_str(), Some("😀"));
         // Control chars escape on output.
         assert_eq!(Json::str("a\nb").to_string(), "\"a\\nb\"");
+        assert_eq!(
+            quote("a\nb\t\"c\\\u{1}é").to_string(),
+            "\"a\\nb\\t\\\"c\\\\\\u0001é\""
+        );
+        assert_eq!(quote("").to_string(), "\"\"");
     }
 
     #[test]
@@ -409,9 +481,42 @@ mod tests {
     }
 
     #[test]
+    fn integers_past_i64_parse_as_floats() {
+        assert_eq!(parse("9223372036854775807"), Ok(Json::Int(i64::MAX)));
+        assert_eq!(
+            parse("18446744073709551615"),
+            Ok(Json::Float(18446744073709551615.0))
+        );
+        assert_eq!(parse("-9223372036854775809").unwrap().as_i64(), None);
+        assert_eq!(parse("1e999"), Ok(Json::Float(f64::INFINITY)));
+        assert!(parse("-").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let ok = "[".repeat(MAX_DEPTH) + &"]".repeat(MAX_DEPTH);
+        assert!(parse(&ok).is_ok());
+        let deep = "[".repeat(MAX_DEPTH + 1) + &"]".repeat(MAX_DEPTH + 1);
+        assert!(parse(&deep).unwrap_err().contains("nesting"));
+        let objs = "{\"a\":".repeat(MAX_DEPTH + 1);
+        assert!(parse(&objs).unwrap_err().contains("nesting"));
+        // Far past the bound on a small stack: an error, not an overflow.
+        let hostile = "[".repeat(100_000);
+        let err = std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn(move || parse(&hostile))
+            .unwrap()
+            .join()
+            .unwrap();
+        assert!(err.unwrap_err().contains("nesting"));
+    }
+
+    #[test]
     fn accessors() {
-        let v = parse("{\"n\":7,\"s\":\"x\",\"b\":true,\"a\":[1]}").unwrap();
+        let v = parse("{\"n\":7,\"s\":\"x\",\"b\":true,\"a\":[1],\"f\":0.5}").unwrap();
         assert_eq!(v.get("n").and_then(Json::as_i64), Some(7));
+        assert_eq!(v.get("n").and_then(Json::as_f64), Some(7.0));
+        assert_eq!(v.get("f").and_then(Json::as_f64), Some(0.5));
         assert_eq!(v.get("s").and_then(Json::as_str), Some("x"));
         assert_eq!(v.get("b").and_then(Json::as_bool), Some(true));
         assert_eq!(
@@ -419,5 +524,7 @@ mod tests {
             Some(1)
         );
         assert!(v.get("missing").is_none());
+        assert_eq!(or_null(Some(3)).to_string(), "3");
+        assert_eq!(or_null(None::<u64>).to_string(), "null");
     }
 }

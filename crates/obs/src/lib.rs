@@ -35,7 +35,10 @@
 //! * [`journal`] — the durability flight recorder: a bounded,
 //!   mutex-sharded ring of structured events (WAL appends, checkpoint
 //!   decisions, recovery steps, fault injections) that is always on and
-//!   dumped as JSONL on panic, on recovery, or via `RIDL_JOURNAL_JSONL`.
+//!   dumped as JSONL on panic, on recovery, or via `RIDL_JOURNAL_JSONL`;
+//! * [`json`] — the workspace's one JSON codec (value model, parser,
+//!   escaper), shared by every emitter above, the wire protocol, the
+//!   store inspector and the bench artifact.
 //!
 //! The crate depends on nothing but `std`, so every layer (relational,
 //! engine, transform, core, benches) can report into it without cycles.
@@ -46,6 +49,7 @@
 pub mod export;
 pub mod hist;
 pub mod journal;
+pub mod json;
 pub mod sink;
 pub mod span;
 

@@ -13,6 +13,8 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 
+use crate::json::quote;
+
 /// A consumer of discrete metric events. `name` is a dotted metric path
 /// (e.g. `engine.statement`, `validate.worker_panic`), `value` the scalar
 /// payload, `detail` a short human/JSON-safe annotation.
@@ -106,30 +108,12 @@ impl JsonlSink {
     }
 }
 
-/// Escapes `s` for inclusion in a JSON string literal.
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 impl MetricsSink for JsonlSink {
     fn event(&self, name: &str, value: u64, detail: &str) {
         let line = format!(
-            "{{\"metric\":\"{}\",\"value\":{},\"detail\":\"{}\"}}\n",
-            json_escape(name),
-            value,
-            json_escape(detail)
+            "{{\"metric\":{},\"value\":{value},\"detail\":{}}}\n",
+            quote(name),
+            quote(detail)
         );
         let mut guard = self.file.lock().expect("jsonl sink poisoned");
         if guard.is_none() {
@@ -252,11 +236,5 @@ mod tests {
         sink.event("a.b", 2, "");
         sink.event("a.b", 3, "");
         assert!(sink.has_warned());
-    }
-
-    #[test]
-    fn escape_handles_control_chars() {
-        assert_eq!(json_escape("a\nb\t\"c\\"), "a\\nb\\t\\\"c\\\\");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
     }
 }

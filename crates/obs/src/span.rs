@@ -27,6 +27,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
+use crate::json::quote;
+
 /// A typed span-attribute value.
 #[derive(Clone, PartialEq, Debug)]
 pub enum AttrValue {
@@ -49,6 +51,23 @@ impl std::fmt::Display for AttrValue {
             AttrValue::Bool(v) => write!(f, "{v}"),
         }
     }
+}
+
+/// Appends `attrs` as one JSON object, keys in attribute order — the
+/// attribute writer shared by the journal dump and the Chrome trace.
+pub(crate) fn push_attrs_json(out: &mut String, attrs: &[(&'static str, AttrValue)]) {
+    use std::fmt::Write;
+    out.push('{');
+    for (i, (k, v)) in attrs.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let _ = match v {
+            AttrValue::Str(s) => write!(out, "{}:{}", quote(k), quote(s)),
+            number_or_bool => write!(out, "{}:{number_or_bool}", quote(k)),
+        };
+    }
+    out.push('}');
 }
 
 impl From<&str> for AttrValue {

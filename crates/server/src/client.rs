@@ -7,7 +7,7 @@
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 
-use crate::json::{obj, parse, Json};
+use ridl_obs::json::{obj, parse, Json};
 
 /// A connected protocol client. One request in flight at a time
 /// (requests carry monotonically increasing ids).

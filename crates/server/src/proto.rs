@@ -21,7 +21,7 @@ use ridl_brm::{Decimal, Value};
 use ridl_engine::{BatchOp, EngineError, Pred, Query};
 use ridl_relational::Row;
 
-use crate::json::{obj, parse, Json};
+use ridl_obs::json::{obj, parse, Json};
 
 /// Machine-readable error codes carried in failed responses.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -146,7 +146,12 @@ pub enum Request {
 /// response.
 pub fn parse_request(line: &str) -> Result<(i64, Request), (ErrorCode, String)> {
     let v = parse(line).map_err(|e| (ErrorCode::Proto, format!("bad JSON: {e}")))?;
-    let id = v.get("id").and_then(Json::as_i64).unwrap_or(0);
+    let id = match v.get("id") {
+        None => 0,
+        Some(id) => id
+            .as_i64()
+            .ok_or((ErrorCode::Proto, "'id' must be an i64 integer".to_string()))?,
+    };
     let cmd = v
         .get("cmd")
         .and_then(Json::as_str)
@@ -309,7 +314,9 @@ pub fn decode_value(v: &Json) -> Result<Option<Value>, String> {
         Json::Str(s) => Value::Str(s.clone()),
         Json::Int(n) => Value::Int(*n),
         Json::Bool(b) => Value::Bool(*b),
-        Json::Float(_) => return Err("floats are not row values; use {\"num\":[m,s]}".into()),
+        Json::Float(_) => {
+            return Err("row numbers must be i64 integers; use {\"num\":[m,s]}".into())
+        }
         Json::Obj(_) => {
             if let Some(n) = v.get("num").and_then(Json::as_arr) {
                 match n {
@@ -456,6 +463,12 @@ mod tests {
             r#"{"id":1,"cmd":"query"}"#,
             r#"{"id":1,"cmd":"delete","table":"T","where":[{"col":"a"}]}"#,
             r#"{"id":1,"cmd":"insert","table":"T","row":[3.5]}"#,
+            // Integer literals past i64 are numbers JSON allows but the
+            // protocol cannot carry exactly.
+            r#"{"id":1,"cmd":"insert","table":"T","row":[9223372036854775808]}"#,
+            r#"{"id":9223372036854775808,"cmd":"status"}"#,
+            r#"{"id":"1","cmd":"status"}"#,
+            r#"{"id":1,"cmd":"insert","table":"T","row":[{"num":[18446744073709551616,2]}]}"#,
         ] {
             let err = parse_request(line);
             assert!(

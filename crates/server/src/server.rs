@@ -14,7 +14,7 @@
 //! counter — the bench asserts on both).
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
@@ -25,12 +25,17 @@ use ridl_engine::{Database, EngineError};
 use ridl_obs::journal;
 use ridl_obs::Severity;
 
-use crate::json::{obj, Json};
 use crate::pipeline::{spawn_committer, Core, JobKind};
 use crate::proto::{
     encode_rows, engine_err_response, err_response, ok_response, parse_request, ErrorCode, Request,
     WriteOp,
 };
+use ridl_obs::json::{obj, Json};
+
+/// Longest request line the reader accepts, in bytes. A longer line
+/// draws one `proto` error and is skipped up to its newline, so a client
+/// that never sends `\n` cannot grow server memory without bound.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
 
 /// Server tuning knobs.
 #[derive(Clone, Copy, Debug)]
@@ -346,18 +351,31 @@ fn read_loop(
     writer: &Arc<Mutex<TcpStream>>,
 ) {
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    loop {
+    let mut line = Vec::new();
+    let mut read_line = |line: &mut Vec<u8>, limit: usize| {
         line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) | Err(_) => return,
-            Ok(_) => {}
+        let n = (&mut reader).take(limit as u64).read_until(b'\n', line);
+        matches!(n, Ok(n) if n > 0)
+    };
+    loop {
+        if !read_line(&mut line, MAX_LINE_BYTES + 1) {
+            return;
         }
-        let trimmed = line.trim();
-        if trimmed.is_empty() {
-            continue;
-        }
-        match parse_request(trimmed) {
+        let request = if line.len() > MAX_LINE_BYTES && line.last() != Some(&b'\n') {
+            // Skip the rest of the over-long line in bounded chunks.
+            while read_line(&mut line, MAX_LINE_BYTES) && line.last() != Some(&b'\n') {}
+            Err((
+                ErrorCode::Proto,
+                format!("request line longer than {MAX_LINE_BYTES} bytes"),
+            ))
+        } else {
+            match std::str::from_utf8(&line).map(str::trim) {
+                Ok("") => continue,
+                Ok(text) => parse_request(text),
+                Err(_) => Err((ErrorCode::Proto, "request line is not UTF-8".to_string())),
+            }
+        };
+        match request {
             Ok((id, req)) => match tx.try_send((id, req)) {
                 Ok(()) => {}
                 Err(mpsc::TrySendError::Full(_)) => {

@@ -65,6 +65,7 @@ use std::io::Read;
 use std::process::ExitCode;
 
 use ridl_core::{MappingOptions, NullOption, SublinkOption, Workbench};
+use ridl_obs::json::{self, Json};
 use ridl_sqlgen::DialectKind;
 
 /// A classified CLI failure: the variant decides the process exit code.
@@ -547,31 +548,28 @@ fn run() -> Result<(), CliError> {
             }
             let text = std::fs::read_to_string(path)
                 .map_err(|e| CliError::Input(format!("reading {path}: {e}")))?;
-            // Line-level filter on the journal's fixed JSONL shape:
-            // {"seq":N,"t_ns":N,"sev":"...","kind":"...",...}. The
-            // journal.meta header line always passes.
-            let json_field = |line: &str, key: &str| -> Option<String> {
-                let pat = format!("\"{key}\":\"");
-                let start = line.find(&pat)? + pat.len();
-                line[start..]
-                    .find('"')
-                    .map(|end| line[start..start + end].to_owned())
-            };
+            // Filter on each event's `kind` and `sev`; the journal.meta
+            // header line is not an event.
             let mut selected: Vec<&str> = Vec::new();
             let mut total = 0usize;
             for (lineno, line) in text.lines().enumerate() {
                 if line.trim().is_empty() {
                     continue;
                 }
-                let kind = json_field(line, "kind").ok_or_else(|| {
+                let event = json::parse(line).map_err(|e| {
+                    CliError::Corrupt(format!("{path}:{}: not a JSON line: {e}", lineno + 1))
+                })?;
+                let kind = event.get("kind").and_then(Json::as_str).ok_or_else(|| {
                     CliError::Corrupt(format!("{path}:{}: journal line without kind", lineno + 1))
                 })?;
                 if kind == "journal.meta" {
                     continue;
                 }
                 total += 1;
-                let sev = json_field(line, "sev")
-                    .and_then(|s| ridl_obs::Severity::parse(&s))
+                let sev = event
+                    .get("sev")
+                    .and_then(Json::as_str)
+                    .and_then(ridl_obs::Severity::parse)
                     .ok_or_else(|| {
                         CliError::Corrupt(format!(
                             "{path}:{}: journal line without severity",
@@ -810,8 +808,9 @@ fn run() -> Result<(), CliError> {
                     ridl_bench::artifact::check_checkpoint_scaling(&s, &l).map_err(|e| {
                         CliError::Corrupt(format!("checkpoint scaling check failed: {e}"))
                     })?;
-                    let n = |text: &str, key: &str| {
-                        ridl_bench::artifact::extract_number(text, key).unwrap_or(0.0)
+                    let [s, l] = [s, l].map(|text| json::parse(&text).unwrap_or(Json::Null));
+                    let n = |doc: &Json, key: &str| {
+                        ridl_bench::artifact::extract_number(doc, key).unwrap_or(0.0)
                     };
                     println!(
                         "-- checkpoint scaling holds: state {:.0} -> {:.0} rows grew full \

@@ -1,7 +1,7 @@
 //! End-to-end tests of the `ridl` command-line interface.
 
 use std::io::Write;
-use std::process::{Command, Stdio};
+use std::process::{Child, Command, Stdio};
 
 const SCHEMA: &str = r#"
 SCHEMA demo;
@@ -27,18 +27,23 @@ fn ridl(args: &[&str]) -> (String, String, bool) {
         .stderr(Stdio::piped())
         .spawn()
         .expect("spawn ridl");
-    child
-        .stdin
-        .as_mut()
-        .unwrap()
-        .write_all(SCHEMA.as_bytes())
-        .unwrap();
+    feed(&mut child, SCHEMA.as_bytes());
     let out = child.wait_with_output().unwrap();
     (
         String::from_utf8_lossy(&out.stdout).into_owned(),
         String::from_utf8_lossy(&out.stderr).into_owned(),
         out.status.success(),
     )
+}
+
+/// Writes `input` to the child's stdin. A subcommand that exits without
+/// reading stdin may close the pipe first; only that `BrokenPipe` is
+/// tolerated.
+fn feed(child: &mut Child, input: &[u8]) {
+    match child.stdin.as_mut().unwrap().write_all(input) {
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => {}
+        other => other.unwrap(),
+    }
 }
 
 #[test]
@@ -237,12 +242,7 @@ fn ridl_with_input(args: &[&str], input: &str) -> (String, String, Option<i32>) 
         .stderr(Stdio::piped())
         .spawn()
         .expect("spawn ridl");
-    child
-        .stdin
-        .as_mut()
-        .unwrap()
-        .write_all(input.as_bytes())
-        .unwrap();
+    feed(&mut child, input.as_bytes());
     let out = child.wait_with_output().unwrap();
     (
         String::from_utf8_lossy(&out.stdout).into_owned(),
@@ -526,6 +526,14 @@ fn events_filters_by_severity_and_reports_errors() {
     assert_eq!(code, Some(2), "{stderr}");
     let (_, _, code) = ridl_with_input(&["events", "/no/such/journal.jsonl"], "");
     assert_eq!(code, Some(3));
+
+    // 5: a line that is not JSON, even one that looks like an event.
+    let mut text = std::fs::read_to_string(&path).unwrap();
+    text.push_str("{\"seq\":5,\"sev\":\"warn\",\"kind\":\"wal.torn\" garbage\n");
+    std::fs::write(&path, text).unwrap();
+    let (_, stderr, code) = ridl_with_input(&["events", path.to_str().unwrap()], "");
+    assert_eq!(code, Some(5), "{stderr}");
+    assert!(stderr.contains(":6: not a JSON line"), "{stderr}");
 
     let _ = std::fs::remove_file(&path);
 }

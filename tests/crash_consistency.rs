@@ -32,6 +32,7 @@ use ridl_core::state_map::map_population;
 use ridl_core::{MappingOptions, Workbench};
 use ridl_durable::{FaultKind, FaultPlan, FaultyIo};
 use ridl_engine::{BatchOp, Database, Durability, EngineError, FsyncPolicy};
+use ridl_obs::json::{self, Json};
 use ridl_relational::{validate, RelSchema, RelState, Row};
 use ridl_workloads::cris;
 use ridl_workloads::scenario::{self, MappedPopulation};
@@ -708,20 +709,12 @@ fn v1_to_v2_upgrade_survives_a_crash_at_every_syscall() {
 
 // ---- the offline inspector CLI against a real on-disk crash store ----
 
-/// First integer after `"key": ` in a JSON text — enough for the flat,
-/// fixed-shape documents `ridl status --json` emits.
-fn json_u64(text: &str, key: &str) -> u64 {
-    let pat = format!("\"{key}\": ");
-    let s = text
-        .find(&pat)
-        .unwrap_or_else(|| panic!("no {key} in {text}"))
-        + pat.len();
-    text[s..]
-        .split(|c: char| !c.is_ascii_digit())
-        .next()
-        .unwrap()
-        .parse()
-        .unwrap_or_else(|_| panic!("{key} is not a number in {text}"))
+/// The unsigned integer at `path` in a parsed JSON document.
+fn json_u64(doc: &Json, path: &[&str]) -> u64 {
+    let v = path.iter().try_fold(doc, |v, key| v.get(key));
+    v.and_then(Json::as_i64)
+        .and_then(|n| u64::try_from(n).ok())
+        .unwrap_or_else(|| panic!("no unsigned integer at {path:?} in {doc}"))
 }
 
 /// The CI contract behind `ridl status --json`: on a store a crash left
@@ -759,7 +752,9 @@ fn ridl_status_json_agrees_with_the_recovery_report() {
         "ridl status failed: {}",
         String::from_utf8_lossy(&out.stderr)
     );
-    let json = String::from_utf8(out.stdout).unwrap();
+    let text = String::from_utf8(out.stdout).unwrap();
+    let json =
+        json::parse(&text).unwrap_or_else(|e| panic!("status --json is not JSON: {e}\n{text}"));
 
     let db = Database::open_with(
         Arc::new(ridl_engine::StdIo),
@@ -773,21 +768,25 @@ fn ridl_status_json_agrees_with_the_recovery_report() {
     let _ = std::fs::remove_dir_all(&dir);
 
     // Pending committed units are normal operation, not damage.
-    assert!(json.contains("\"verdict\": \"clean\""), "{json}");
-    let (epoch, _) = rep.checkpoint.expect("store has a checkpoint");
-    assert_eq!(json_u64(&json, "epoch"), epoch, "chain-head epoch");
     assert_eq!(
-        json_u64(&json, "deltas"),
+        json.get("verdict").and_then(Json::as_str),
+        Some("clean"),
+        "{text}"
+    );
+    let (epoch, _) = rep.checkpoint.expect("store has a checkpoint");
+    assert_eq!(json_u64(&json, &["epoch"]), epoch, "chain-head epoch");
+    assert_eq!(
+        json_u64(&json, &["chain", "deltas"]),
         rep.deltas_merged as u64,
         "delta-chain length"
     );
     assert_eq!(
-        json_u64(&json, "units"),
+        json_u64(&json, &["wal", "units"]),
         rep.units_replayed as u64,
         "committed WAL units"
     );
     assert_eq!(
-        json_u64(&json, "torn_bytes"),
+        json_u64(&json, &["wal", "torn_bytes"]),
         rep.bytes_discarded,
         "torn-tail bytes"
     );

@@ -10,8 +10,8 @@
 
 use ridl_brm::{DataType, Value};
 use ridl_engine::{Database, Pred};
+use ridl_obs::json::{obj, Json};
 use ridl_relational::{Column, RelConstraintKind, RelSchema, Table};
-use ridl_server::json::{obj, Json};
 use ridl_server::{Client, Server, ServerConfig};
 
 use proptest::prelude::*;

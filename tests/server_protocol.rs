@@ -4,8 +4,8 @@
 
 use ridl_brm::DataType;
 use ridl_engine::Database;
+use ridl_obs::json::{obj, Json};
 use ridl_relational::{Column, RelConstraintKind, RelSchema, Table};
-use ridl_server::json::{obj, Json};
 use ridl_server::{Client, Server, ServerConfig};
 
 fn sample_schema() -> RelSchema {
@@ -172,7 +172,7 @@ fn admission_control_rejects_past_the_session_limit() {
         let s = std::net::TcpStream::connect(&addr).unwrap();
         let mut line = String::new();
         std::io::BufReader::new(s).read_line(&mut line).unwrap();
-        let r = ridl_server::json::parse(line.trim()).unwrap();
+        let r = ridl_obs::json::parse(line.trim()).unwrap();
         assert_eq!(Client::error_code(&r), Some("busy"), "{r}");
     }
 
@@ -301,4 +301,77 @@ fn concurrent_writers_get_unique_commit_sequences() {
 
     let db = server.shutdown().unwrap();
     assert_eq!(db.state().num_rows(), THREADS * PER_THREAD);
+}
+
+/// A hostile line nested far past the codec's depth bound costs one
+/// `proto` error: the server neither overflows its stack nor drops the
+/// session, and other sessions keep working.
+#[test]
+fn deeply_nested_line_is_a_proto_error_not_a_crash() {
+    let server = start(ServerConfig::default());
+    let addr = server.addr().to_string();
+    let mut c = Client::connect(&addr).unwrap();
+    let r = c.send_raw(&"[".repeat(100_000)).unwrap();
+    assert_eq!(Client::error_code(&r), Some("proto"), "{r}");
+    assert!(Client::is_ok(&c.command("status").unwrap()));
+    let mut other = Client::connect(&addr).unwrap();
+    assert!(Client::is_ok(&other.command("status").unwrap()));
+    server.shutdown().unwrap();
+}
+
+/// A request line longer than the reader's bound is answered `proto` and
+/// skipped up to its newline; the session then serves normal requests.
+#[test]
+fn over_long_line_is_rejected_and_the_session_continues() {
+    use ridl_server::server::MAX_LINE_BYTES;
+    let server = start(ServerConfig::default());
+    let addr = server.addr().to_string();
+    let mut c = Client::connect(&addr).unwrap();
+    let huge = format!(
+        "{{\"cmd\":\"status\",\"pad\":\"{}\"}}",
+        "x".repeat(MAX_LINE_BYTES)
+    );
+    let r = c.send_raw(&huge).unwrap();
+    assert_eq!(Client::error_code(&r), Some("proto"), "{r}");
+    assert!(
+        r.get("detail")
+            .and_then(Json::as_str)
+            .is_some_and(|d| d.contains("longer than")),
+        "{r}"
+    );
+    // Within the bound, the same request is fine.
+    let fits = format!("{{\"cmd\":\"status\",\"pad\":\"{}\"}}", "x".repeat(1000));
+    assert!(Client::is_ok(&c.send_raw(&fits).unwrap()));
+    assert!(Client::is_ok(&c.request(insert_req("P1")).unwrap()));
+    let r = c.request(query_all()).unwrap();
+    assert_eq!(
+        r.get("rows").and_then(Json::as_arr).map(<[Json]>::len),
+        Some(1)
+    );
+    server.shutdown().unwrap();
+}
+
+/// An integer literal past `i64::MAX` is valid JSON — the bench-artifact
+/// validator accepts it — but the protocol cannot carry it exactly, so
+/// on the wire it draws `proto`.
+#[test]
+fn integer_past_i64_is_accepted_in_an_artifact_but_rejected_on_the_wire() {
+    let big = "9223372036854775808";
+    let artifact = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_10.json"))
+        .unwrap()
+        .replace("\"seed\": 1989", &format!("\"seed\": {big}"));
+    assert!(artifact.contains(&format!("\"seed\": {big}")));
+    ridl_bench::artifact::validate_artifact(&artifact).expect("big integer is a valid number");
+
+    let server = start(ServerConfig::default());
+    let mut c = Client::connect(&server.addr().to_string()).unwrap();
+    for line in [
+        format!(r#"{{"cmd":"insert","table":"Paper","row":["P9",{big}]}}"#),
+        format!(r#"{{"id":{big},"cmd":"status"}}"#),
+    ] {
+        let r = c.send_raw(&line).unwrap();
+        assert_eq!(Client::error_code(&r), Some("proto"), "{line} -> {r}");
+    }
+    assert!(Client::is_ok(&c.command("status").unwrap()));
+    server.shutdown().unwrap();
 }
