@@ -1,5 +1,5 @@
-//! The shared measurement harness the criterion benches and the macro
-//! driver build on: scenario construction, engine-probed mutation
+//! The shared measurement harness the criterion benches build on:
+//! scenario construction, engine-probed mutation
 //! targets, adaptive wall-clock timing and scratch-directory management.
 //!
 //! Before this module existed every bench carried its own copy of

@@ -136,7 +136,7 @@ pub struct RecoveryReport {
     /// Wall-clock nanoseconds the whole recovery took (store scan,
     /// checkpoint load, WAL replay, log repair). Always measured — unlike
     /// the detail-gated obs timings — so crash-recovery time can feed
-    /// benchmark artifacts without enabling per-probe instrumentation.
+    /// benchmarks without enabling per-probe instrumentation.
     pub elapsed_ns: u64,
 }
 

@@ -330,7 +330,7 @@ impl Database {
         }
         ridl_obs::hist::record_named("engine.recover", sw.elapsed_ns());
         // Recovery progress histograms: always-on count distributions so
-        // the bench artifact can report replay volume without detail mode.
+        // benchmarks can report replay volume without detail mode.
         ridl_obs::hist::record_named("recover.units_replayed", report.units_replayed as u64);
         ridl_obs::hist::record_named("recover.deltas_merged", report.deltas_merged as u64);
         ridl_obs::hist::record_named("recover.bytes_scanned", report.wal_bytes_scanned);

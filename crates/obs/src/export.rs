@@ -25,7 +25,7 @@ use crate::{ConstraintClass, MetricsSnapshot, COUNTER_NAMES};
 
 /// Every non-zero counter and per-class account in `snap` as
 /// `(<label>/<name>, value)`, in registry order. Zero counters are
-/// skipped so bench artifacts stay small and diffs meaningful.
+/// skipped so bench outputs stay small and diffs meaningful.
 fn nonzero_metrics(label: &str, snap: &MetricsSnapshot) -> Vec<(String, u64)> {
     let counters = COUNTER_NAMES
         .iter()

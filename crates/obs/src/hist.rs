@@ -163,7 +163,7 @@ impl Histogram {
 }
 
 /// A point-in-time quantile summary of one histogram — the exportable
-/// face of [`Histogram`], consumed by benchmark artifacts and renderers
+/// face of [`Histogram`], consumed by benchmarks and renderers
 /// that need the quantiles without holding the bucket array.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct HistSummary {

@@ -2,11 +2,11 @@
 //! writers (std only).
 //!
 //! The wire protocol, the journal dump, the Chrome trace, the metric
-//! lines, `ridl status --json` and the `BENCH_*.json` artifact all escape,
-//! spell numbers and parse through this module; the workspace
-//! deliberately carries no serde. Numbers without fraction/exponent parse
-//! as `i64` (row values are exact); anything else — including integer
-//! literals outside the `i64` range — as `f64`.
+//! lines and `ridl status --json` all escape, spell numbers and parse
+//! through this module; the workspace deliberately carries no serde.
+//! Numbers without fraction/exponent parse as `i64` (row values are
+//! exact); anything else — including integer literals outside the `i64`
+//! range — as `f64`.
 //!
 //! [`parse`] takes untrusted input: nesting deeper than [`MAX_DEPTH`] is
 //! an error, not a recursion that can overflow the stack.

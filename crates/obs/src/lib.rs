@@ -37,8 +37,8 @@
 //!   decisions, recovery steps, fault injections) that is always on and
 //!   dumped as JSONL on panic, on recovery, or via `RIDL_JOURNAL_JSONL`;
 //! * [`json`] — the workspace's one JSON codec (value model, parser,
-//!   escaper), shared by every emitter above, the wire protocol, the
-//!   store inspector and the bench artifact.
+//!   escaper), shared by every emitter above, the wire protocol and the
+//!   store inspector.
 //!
 //! The crate depends on nothing but `std`, so every layer (relational,
 //! engine, transform, core, benches) can report into it without cycles.

@@ -1,8 +1,8 @@
 //! A small blocking client for the line-delimited JSON protocol.
 //!
-//! Used by `ridl client`, the server smoke job, and the tests/bench. It
-//! deliberately mirrors what a scripted `nc` session would do: one
-//! request line out, one response line in.
+//! Used by `ridl client`, the server smoke job, the tests and the
+//! benchmark. It deliberately mirrors what a scripted `nc` session would
+//! do: one request line out, one response line in.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;

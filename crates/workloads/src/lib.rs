@@ -14,9 +14,8 @@
 //! * [`scenario`] — ready-made experiment scenarios (the industrial mapped
 //!   schema with a calibrated large population) shared by the benches and
 //!   the differential test suites;
-//! * [`macrobench`] — the RIDL-Bench end-to-end macro workload: staged
-//!   pipeline builders plus a deterministic mixed-traffic plan, driven by
-//!   `ridl bench` and the `macro_pipeline` criterion bench;
+//! * [`macrobench`] — the deterministic mixed-traffic plan the
+//!   end-to-end benchmark (`benchmark/`) replays;
 //! * [`sigex`] — Proper-style significant examples: verified
 //!   near-violation populations that stress each constraint class at its
 //!   boundary.

@@ -1,72 +1,14 @@
-//! RIDL-Bench macro workload: the full-pipeline scenario behind
-//! `ridl bench` and the `macro_pipeline` criterion bench.
+//! The deterministic mixed-traffic plan of the end-to-end benchmark.
 //!
-//! The micro benches each exercise one subsystem; this module describes
-//! the *end-to-end* run — synthesize an industrial-band BRM schema,
-//! analyze and map it through RIDL-M, generate a calibrated population,
-//! and drive mixed closed-loop traffic against the loaded engine. The
-//! module itself stays engine-free (so `ridl-workloads` keeps its thin
-//! dependency cone): it produces the schema, the state, and a
-//! deterministic *traffic plan*; the driver in `ridl-bench` translates
-//! plan steps into engine statements and times them.
-//!
-//! Everything here is deterministic in the seed: equal [`MacroParams`]
-//! give byte-equal schemas, states and traffic plans (the determinism
-//! regression suite asserts this, across thread counts too).
+//! The module stays engine-free (so `ridl-workloads` keeps its thin
+//! dependency cone): it produces a seeded sequence of [`TrafficOp`]
+//! steps over a set of probed mutation targets, and its caller (the
+//! repository's `benchmark/`, or a test) translates each step into
+//! engine statements. Equal `(seed, ops, targets)` give equal plans (the
+//! determinism regression suite asserts this).
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-use ridl_core::{MappingOptions, MappingOutput, Workbench};
-use ridl_relational::RelState;
-
-use crate::scenario;
-use crate::synth::{self, GenParams, SynthSchema};
-
-/// Parameters of the macro workload.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct MacroParams {
-    /// Seed for schema synthesis, population and traffic planning.
-    pub seed: u64,
-    /// Approximate row count of the loaded population.
-    pub target_rows: usize,
-}
-
-impl Default for MacroParams {
-    fn default() -> Self {
-        Self {
-            seed: 1989,
-            target_rows: 100_000,
-        }
-    }
-}
-
-/// Phase 1 — synthesize the industrial-band BRM schema (120–150 mapped
-/// tables at the default parameters).
-pub fn synthesize(p: &MacroParams) -> SynthSchema {
-    synth::generate(&GenParams::industrial(p.seed))
-}
-
-/// Phase 2 — run RIDL-A analysis and the RIDL-M mapping, yielding the
-/// relational schema (with its full generated constraint set), the
-/// transformation trace and the state maps.
-pub fn analyze_and_map(s: &SynthSchema) -> MappingOutput {
-    let wb = Workbench::new(s.schema.clone());
-    assert!(
-        wb.analysis().is_mappable(),
-        "industrial synthetic schema must be mappable"
-    );
-    wb.map(&MappingOptions::new())
-        .expect("industrial schema maps")
-}
-
-/// Phase 3 — generate the calibrated population: probe for rows-per-
-/// instance, then scale the instance count to roughly `target_rows` rows
-/// (the same calibration [`scenario::industrial_population`] uses).
-pub fn populate(s: &SynthSchema, out: &MappingOutput, p: &MacroParams) -> RelState {
-    let instances = scenario::calibrate_instances(s, out, p.target_rows);
-    scenario::populate_instances(s, out, instances)
-}
 
 /// One step of the mixed closed-loop traffic plan. The index selects one
 /// of the driver's probed mutation targets.
@@ -108,20 +50,6 @@ pub fn plan_traffic(seed: u64, ops: usize, targets: usize) -> Vec<TrafficOp> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ridl_relational::validate;
-
-    #[test]
-    fn macro_pipeline_stages_compose() {
-        let p = MacroParams {
-            seed: 1989,
-            target_rows: 600,
-        };
-        let s = synthesize(&p);
-        let out = analyze_and_map(&s);
-        let state = populate(&s, &out, &p);
-        assert!(validate(&out.rel, &state).is_empty(), "population is clean");
-        assert!(state.num_rows() >= 300, "calibration reached the target");
-    }
 
     #[test]
     fn traffic_plan_is_deterministic_and_mixed() {

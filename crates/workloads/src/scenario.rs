@@ -26,7 +26,7 @@ pub struct MappedPopulation {
 /// Rows-per-instance calibration: probes the mapped schema with two
 /// instances per entity and returns the instance count whose mapped state
 /// lands at roughly `target_rows` rows. Deterministic in its inputs —
-/// shared by [`industrial_population`] and the `macrobench` pipeline.
+/// shared by [`industrial_population`] and the end-to-end benchmark.
 pub fn calibrate_instances(
     s: &synth::SynthSchema,
     out: &ridl_core::MappingOutput,

@@ -257,9 +257,12 @@ fn ridl_with_input(args: &[&str], input: &str) -> (String, String, Option<i32>) 
 #[test]
 fn exit_codes_distinguish_failure_classes() {
     // 2: usage errors — unknown command, unknown flag, missing argument.
-    let (_, stderr, code) = ridl_with_input(&["frobnicate"], "");
-    assert_eq!(code, Some(2), "{stderr}");
-    assert!(stderr.starts_with("ridl: unknown command"), "{stderr}");
+    // `bench` and `benchcheck` were removed and must fail as unknown.
+    for cmd in ["frobnicate", "bench", "benchcheck"] {
+        let (_, stderr, code) = ridl_with_input(&[cmd], "");
+        assert_eq!(code, Some(2), "{stderr}");
+        assert!(stderr.starts_with("ridl: unknown command"), "{stderr}");
+    }
     let (_, stderr, code) = ridl_with_input(&["map", "-", "--bogus"], SCHEMA);
     assert_eq!(code, Some(2), "{stderr}");
     assert!(stderr.starts_with("ridl: unknown option"), "{stderr}");

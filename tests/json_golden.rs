@@ -1,13 +1,10 @@
 //! Byte-for-byte golden tests for every machine-readable JSON output:
 //! the journal dump, the Chrome trace, the counter-snapshot lines, a
-//! metrics-sink line, `ridl status --json`, the bench artifact and the
-//! wire-protocol responses. The expected bytes live in `tests/golden/`;
-//! any change to an emitter's layout, key order, escaping or number
-//! spelling shows up here as a diff.
+//! metrics-sink line, `ridl status --json` and the wire-protocol
+//! responses. The expected bytes live in `tests/golden/`; any change to
+//! an emitter's layout, key order, escaping or number spelling shows up
+//! here as a diff.
 
-use ridl_bench::artifact::{
-    BenchArtifact, CheckpointSummary, ClassCost, PhaseStat, ServerSummary, WalMetrics, WalStats,
-};
 use ridl_brm::{Decimal, Value};
 use ridl_durable::{CheckpointInfo, StoreStatus, WalStatus};
 use ridl_obs::journal::{to_jsonl, JournalEvent, Severity};
@@ -182,96 +179,6 @@ fn store_status_json_is_byte_identical() {
         ..status
     };
     check("status_headless.json", &headless.to_json());
-}
-
-fn artifact() -> BenchArtifact {
-    BenchArtifact {
-        pr: 12,
-        seed: 1989,
-        target_rows: 1000,
-        rows_loaded: 1042,
-        tables: 130,
-        constraints: 410,
-        phases: vec![
-            PhaseStat::block("generate", 0.5, 1),
-            PhaseStat::block(NASTY, 0.0, 0),
-            PhaseStat::with_quantiles("traffic", 1.25, 200, 10_000, 20_000, u64::MAX),
-            PhaseStat::with_quantiles("tiny", 1e-7, 3, 1, 2, 3),
-            PhaseStat::with_quantiles("huge", 1e21, 7, 0, 0, 0),
-        ],
-        per_class: vec![
-            ClassCost {
-                class: "key",
-                checks: 123,
-                violations: 4,
-                nanos: 55_000,
-            },
-            ClassCost {
-                class: "foreign_key",
-                checks: 0,
-                violations: 0,
-                nanos: 0,
-            },
-        ],
-        wal: WalStats {
-            replay_units: 100,
-            replay_ops: 200,
-            replay_ops_per_sec: 12_345.678_9,
-            bytes: 4096,
-        },
-        recovery_seconds: 0.012,
-        sigex_examples: 3,
-        sigex_classes: vec!["key", "foreign_key", "a\"b"],
-        checkpoint: Some(CheckpointSummary {
-            full_bytes: 500_000,
-            full_seconds: 0.05,
-            delta_bytes: 40_000,
-            delta_seconds: 0.004,
-            dirty_extents: 12,
-            total_extents: 140,
-            churn_rows: 220,
-        }),
-        wal_metrics: Some(WalMetrics {
-            appends: 200,
-            append_bytes: 51_200,
-            fsyncs: 200,
-            checkpoints: 2,
-            group_batch_p50: 1,
-            group_batch_max: 4,
-            fsync_p99_ns: 0,
-        }),
-        server: Some(ServerSummary {
-            sessions: 1000,
-            peak_sessions: 48,
-            admission_rejects: 17,
-            busy_rejects: 0,
-            reads: 6000,
-            writes: 3000,
-            anomalies: 0,
-            seconds: 2.5,
-            ops_per_sec: 3600.0,
-            read_p50_ns: 80_000,
-            read_p99_ns: 400_000,
-            write_p50_ns: 250_000,
-            write_p99_ns: 900_000,
-            burst_read_p99_ns: 350_000,
-            commit_batch_p50: 3,
-            commit_batch_max: 14,
-        }),
-    }
-}
-
-#[test]
-fn bench_artifact_is_byte_identical() {
-    check("artifact_full.json", &artifact().to_json());
-    let bare = BenchArtifact {
-        checkpoint: None,
-        wal_metrics: None,
-        server: None,
-        sigex_classes: Vec::new(),
-        ..artifact()
-    };
-    check("artifact_bare.json", &bare.to_json());
 }
 
 #[test]

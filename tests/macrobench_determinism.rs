@@ -1,10 +1,12 @@
 //! Determinism regression suite for the benchmark workloads: equal seeds
 //! must give byte-equal schemas and states — including across validator
-//! thread counts — so `BENCH_*.json` artifacts from different sessions
-//! measure the same workload and stay comparable along the trajectory.
+//! thread counts — so benchmark runs on different machines and commits
+//! measure the same workload and stay comparable.
 
-use ridl_workloads::macrobench::{self, MacroParams, TrafficOp};
+use ridl_core::{MappingOptions, Workbench};
+use ridl_workloads::macrobench::{self, TrafficOp};
 use ridl_workloads::scenario;
+use ridl_workloads::synth::{self, GenParams};
 
 /// `industrial_population` is a pure function of (seed, target_rows):
 /// the schema renders byte-identically and the states compare equal.
@@ -24,26 +26,6 @@ fn industrial_population_is_deterministic() {
         format!("{:?}", c.schema),
         "different seeds must actually vary the schema"
     );
-}
-
-/// The staged macrobench pipeline reproduces the same mapped schema and
-/// population on every run of the same parameters.
-#[test]
-fn macrobench_stages_are_deterministic() {
-    let p = MacroParams {
-        seed: 1989,
-        target_rows: 600,
-    };
-    let run = || {
-        let s = macrobench::synthesize(&p);
-        let out = macrobench::analyze_and_map(&s);
-        let state = macrobench::populate(&s, &out, &p);
-        (format!("{:?}", out.rel), state)
-    };
-    let (schema_a, state_a) = run();
-    let (schema_b, state_b) = run();
-    assert_eq!(schema_a, schema_b);
-    assert_eq!(state_a, state_b);
 }
 
 /// Validation of the generated population is independent of the worker
@@ -75,16 +57,14 @@ fn traffic_plan_is_deterministic() {
     assert_ne!(macrobench::plan_traffic(7, 1_000, 8), a);
 }
 
-/// The calibration helpers the scenario and macrobench share are stable:
-/// same probe, same instance count, same state.
+/// The calibration helpers the scenario and the benchmark share are
+/// stable: same probe, same instance count, same state.
 #[test]
 fn calibration_is_stable() {
-    let p = MacroParams {
-        seed: 1989,
-        target_rows: 600,
-    };
-    let s = macrobench::synthesize(&p);
-    let out = macrobench::analyze_and_map(&s);
+    let s = synth::generate(&GenParams::industrial(1989));
+    let out = Workbench::new(s.schema.clone())
+        .map(&MappingOptions::new())
+        .expect("industrial schema maps");
     let n1 = scenario::calibrate_instances(&s, &out, 600);
     let n2 = scenario::calibrate_instances(&s, &out, 600);
     assert_eq!(n1, n2);
