@@ -10,6 +10,7 @@
 //!         | 0x04 checked:u8                           (commit marker)
 //! row    := ncells:u32le cell*
 //! cell   := 0x00 | 0x01 len:u32le token-bytes
+//! token  := S<text> | I<i64> | N<mantissa>/<scale> | D<days> | B0 | B1 | E<id>
 //! ```
 //!
 //! The **commit marker** is the durability point: recovery replays op
@@ -17,10 +18,11 @@
 //! total — torn, short, or bit-flipped tails never error, they just end
 //! the committed region and are counted as discarded bytes.
 
+use ridl_brm::{Decimal, Value};
 use ridl_relational::{DeltaOp, Row, TableId};
 
 use crate::crc::crc32;
-use crate::snapshot::{decode_value, encode_value};
+use crate::CorruptError;
 
 /// First 8 bytes of every WAL file.
 pub const WAL_MAGIC: &[u8; 8] = b"RIDLWAL1";
@@ -48,6 +50,50 @@ pub(crate) fn get_u32(b: &[u8], at: usize) -> Option<u32> {
 
 pub(crate) fn get_u64(b: &[u8], at: usize) -> Option<u64> {
     Some(u64::from_le_bytes(b.get(at..at + 8)?.try_into().ok()?))
+}
+
+/// Encodes a value as a typed token (`S…`, `I…`, `N…/…`, `D…`, `B0|B1`,
+/// `E…`): the cell payload of WAL and checkpoint rows, and the value
+/// column format of `metadb::serde`.
+pub fn encode_value(v: &Value) -> String {
+    match v {
+        Value::Str(s) => format!("S{s}"),
+        Value::Int(i) => format!("I{i}"),
+        Value::Num(d) => format!("N{}/{}", d.mantissa, d.scale),
+        Value::Date(d) => format!("D{d}"),
+        Value::Bool(b) => format!("B{}", if *b { 1 } else { 0 }),
+        Value::Entity(e) => format!("E{}", e.0),
+    }
+}
+
+/// Decodes a typed value token.
+pub fn decode_value(s: &str) -> Result<Value, CorruptError> {
+    let err = || CorruptError(format!("value {s}"));
+    // One ASCII tag byte; a multibyte first char is corrupt, not a slice
+    // panic.
+    if s.is_empty() || !s.is_char_boundary(1) {
+        return Err(err());
+    }
+    let (tag, rest) = s.split_at(1);
+    Ok(match tag {
+        "S" => Value::str(rest),
+        "I" => Value::Int(rest.parse().map_err(|_| err())?),
+        "N" => {
+            let (m, sc) = rest.split_once('/').ok_or_else(err)?;
+            Value::Num(Decimal::new(
+                m.parse().map_err(|_| err())?,
+                sc.parse().map_err(|_| err())?,
+            ))
+        }
+        "D" => Value::Date(rest.parse().map_err(|_| err())?),
+        "B" => match rest {
+            "1" => Value::Bool(true),
+            "0" => Value::Bool(false),
+            _ => return Err(err()),
+        },
+        "E" => Value::entity(rest.parse().map_err(|_| err())?),
+        _ => return Err(err()),
+    })
 }
 
 pub(crate) fn encode_row_bytes(out: &mut Vec<u8>, row: &Row) {
@@ -253,7 +299,6 @@ pub(crate) fn next_frame<'a>(bytes: &'a [u8], pos: &mut usize) -> Option<&'a [u8
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ridl_brm::Value;
 
     fn v(s: &str) -> Option<Value> {
         Some(Value::str(s))

@@ -64,10 +64,9 @@ pub(crate) struct WalHandle {
     /// Commits appended since the last fsync — the group-commit batch
     /// size, recorded to the `wal.group_batch` histogram at each fsync.
     commits_since_sync: u64,
-    /// The extent geometry frozen by the current chain's base checkpoint
-    /// (v2). `None` until the first v2 base exists (fresh store, or a
-    /// legacy v1 snapshot awaiting upgrade) — then every checkpoint is a
-    /// full base.
+    /// The extent geometry frozen by the current chain's base checkpoint.
+    /// `None` until the first base exists (fresh store) — then every
+    /// checkpoint is a full base.
     geometry: Option<ExtentGeometry>,
     /// `(table, extent)` pairs mutated since the last checkpoint, marked
     /// at mutation time against `geometry`. What an incremental
@@ -144,7 +143,7 @@ impl Database {
                 scan.wal.discarded
             },
             stale_wal: scan.stale_wal,
-            snapshot_format: scan.snapshot_format,
+            snapshot_format: if scan.snapshot.is_some() { 2 } else { 0 },
             deltas_merged: scan.deltas_merged,
             ..RecoveryReport::default()
         };
@@ -468,7 +467,7 @@ impl Database {
     /// checkpoint rewrites it. Called on every effective mutation (and
     /// every revert — conservative: a revert restores the snapshot's
     /// content, but proving that is not worth the bookkeeping). No-op
-    /// until a v2 base has frozen a geometry.
+    /// until a base has frozen a geometry.
     pub(crate) fn note_dirty(&mut self, table: TableId, row: &Row) {
         let Some(w) = self.wal.as_mut() else {
             return;

@@ -488,8 +488,8 @@ fn run() -> Result<(), CliError> {
                 _ => return Err(usage("usage: ridl status <store-dir> [--json]")),
             };
             // Unlike `ridl recover`, status never opens the database (no
-            // schema needed) and never writes: it reads the checkpoint
-            // chain and WAL exactly as recovery would, and reports.
+            // schema needed) and never writes: it renders the same
+            // store survey recovery reads, and reports.
             if !std::path::Path::new(store).is_dir() {
                 return Err(CliError::Input(format!(
                     "store directory {store} does not exist"

@@ -494,6 +494,52 @@ fn schema_mismatch_is_refused() {
     );
 }
 
+/// Every file in a store directory, by name.
+fn dir_contents(dir: &std::path::Path) -> std::collections::BTreeMap<String, Vec<u8>> {
+    std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| {
+            let e = e.unwrap();
+            (
+                e.file_name().to_string_lossy().into_owned(),
+                std::fs::read(e.path()).unwrap(),
+            )
+        })
+        .collect()
+}
+
+#[test]
+fn unreadable_checkpoint_and_wal_header_refuse_and_leave_the_store_untouched() {
+    let dir = std::env::temp_dir().join(format!("ridl-durable-refuse-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut db = Database::open(&dir, sample_schema()).unwrap();
+    db.insert("Paper", vec![v("P1"), v("A1")]).unwrap();
+    db.checkpoint().unwrap(); // base at epoch 1, no `prev`
+    db.insert("Paper", vec![v("P2"), None]).unwrap(); // one committed unit
+    drop(db);
+    // `checkpoint.snap` rots at rest and the WAL header frame takes a
+    // flipped byte: nothing readable says which epoch the log is at, so
+    // opening the empty state would silently drop both rows.
+    std::fs::write(dir.join(SNAP_FILE), b"garbage").unwrap();
+    let mut wal = std::fs::read(dir.join(WAL_FILE)).unwrap();
+    wal[20] ^= 0x01;
+    std::fs::write(dir.join(WAL_FILE), wal).unwrap();
+    std::fs::write(dir.join(SNAP_TMP_FILE), b"half a checkpoint").unwrap();
+    let before = dir_contents(&dir);
+
+    let err = Database::open(&dir, sample_schema());
+    assert!(
+        matches!(err, Err(EngineError::Corrupt(_))),
+        "recovery opened an unrecoverable store"
+    );
+    assert_eq!(
+        dir_contents(&dir),
+        before,
+        "a refused store must be left as found"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 #[test]
 fn real_filesystem_roundtrip() {
     let dir = std::env::temp_dir().join(format!("ridl-durable-{}", std::process::id()));

@@ -1,18 +1,21 @@
-//! Satellite of the durability PR: the textual codecs the meta-database
-//! and the checkpoint snapshots share are **total** and **stable**.
+//! The codecs the meta-database and the durable store share are
+//! **total** and **stable**.
 //!
 //! For every codec (value tokens, constraint bodies, data types, whole
-//! snapshot files) three properties are checked:
+//! paged checkpoint files) three properties are checked:
 //!
 //! 1. **Round trip** — decode(encode(x)) == x.
 //! 2. **Fixpoint** — re-encoding the decoded form reproduces the exact
-//!    byte string, so snapshots written by one session are byte-stable
+//!    byte string, so checkpoints written by one session are byte-stable
 //!    under rewrite by the next (recovery depends on this to compare
 //!    states by equality).
 //! 3. **Totality under truncation/corruption** — a torn prefix or a
 //!    flipped byte is *rejected with an error*, never a panic, and never
 //!    decodes to a silently different artefact (a truncated input that
-//!    happens to decode must itself be stable).
+//!    happens to decode must itself be stable). For checkpoints this
+//!    extends to structure-aware mutation: a byte changed inside one
+//!    frame and re-checksummed, so it gets past the CRC and reaches the
+//!    structural decoder, yields a state or a classified error.
 
 use std::sync::OnceLock;
 
@@ -22,7 +25,9 @@ use ridl_brm::{
     ConstraintKind, DataType, Decimal, FactTypeId, ObjectTypeId, RoleOrSublink, RoleRef, Side,
     SublinkId, Value,
 };
-use ridl_durable::{decode_snapshot, encode_snapshot};
+use ridl_durable::crc::crc32;
+use ridl_durable::pagesnap::SNAP2_MAGIC;
+use ridl_durable::{decode_paged, encode_base, merge_chain};
 use ridl_metadb::serde as mdb;
 use ridl_relational::{RelSchema, RelState};
 use ridl_workloads::scenario::{self, MappedPopulation};
@@ -132,6 +137,19 @@ fn floor_boundary(s: &str, mut i: usize) -> usize {
     i
 }
 
+/// `(start, len)` of every frame payload in a paged checkpoint
+/// (`[len:u32le][crc:u32le][payload]` after the magic).
+fn frame_payloads(bytes: &[u8]) -> Vec<(usize, usize)> {
+    let mut out = Vec::new();
+    let mut pos = SNAP2_MAGIC.len();
+    while pos < bytes.len() {
+        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
+        out.push((pos + 8, len));
+        pos += 8 + len;
+    }
+    out
+}
+
 proptest! {
     /// Value tokens: round trip, byte-stable fixpoint, and total under
     /// truncation — a torn token errs or is itself a stable token.
@@ -193,18 +211,28 @@ proptest! {
         let _ = mdb::decode_value(&src);
         let _ = mdb::decode_constraint(&src);
         let _ = mdb::parse_data_type(&src);
-        let _ = decode_snapshot(&src);
+        let _ = decode_paged(src.as_bytes());
+    }
+
+    /// The paged decoder never panics on arbitrary bytes, with or without
+    /// a valid magic in front to get them to the frame reader.
+    #[test]
+    fn paged_decoder_is_total_on_arbitrary_bytes(
+        bytes in prop::collection::vec(any::<u8>(), 0..96),
+    ) {
+        let _ = decode_paged(&bytes);
+        let _ = decode_paged(&[SNAP2_MAGIC.as_slice(), &bytes].concat());
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Checkpoint snapshots of mapped populations: round trip (epoch,
-    /// fingerprint and state all survive), byte-stable re-encode, and
-    /// CRC-guarded rejection of every torn prefix — a prefix either errs
-    /// or (when only trailing bytes past the checksum footer were lost)
-    /// decodes to the identical snapshot. Never to a different state.
+    /// Paged checkpoints of mapped populations: `encode_base` →
+    /// `decode_paged` → `merge_chain` round-trips epoch, fingerprint and
+    /// state, re-encoding the merged state is byte-stable, and every torn
+    /// prefix is rejected (the end frame carries the total row count, so
+    /// even a cut at a frame boundary is caught).
     #[test]
     fn snapshot_fixpoint_and_torn_prefix(
         art_ix in 0usize..3,
@@ -213,54 +241,66 @@ proptest! {
         cut in 0usize..1_000_000,
     ) {
         let (_, state) = &synth_artifacts()[art_ix];
-        let enc = encode_snapshot(epoch, fingerprint, state);
-        let snap = decode_snapshot(&enc).unwrap();
+        let (enc, geometry, _) = encode_base(epoch, fingerprint, state);
+        let snap = decode_paged(&enc).unwrap();
         prop_assert_eq!(snap.epoch, epoch);
         prop_assert_eq!(snap.fingerprint, fingerprint);
-        prop_assert_eq!(&snap.state, state);
+        prop_assert_eq!(&snap.geometry, &geometry);
+        let merged = merge_chain(snap, vec![]).unwrap();
+        prop_assert_eq!(&merged, state);
         prop_assert_eq!(
-            encode_snapshot(snap.epoch, snap.fingerprint, &snap.state),
+            encode_base(epoch, fingerprint, &merged).0,
             enc.clone(),
-            "snapshot encode not a fixpoint"
+            "checkpoint encode not a fixpoint"
         );
 
-        let cut = floor_boundary(&enc, cut % enc.len());
-        match decode_snapshot(&enc[..cut]) {
-            Err(_) => {}
-            Ok(t) => {
-                prop_assert_eq!(t.epoch, epoch);
-                prop_assert_eq!(t.fingerprint, fingerprint);
-                prop_assert_eq!(
-                    &t.state, state,
-                    "torn snapshot decoded to a different state"
-                );
-            }
-        }
+        let cut = cut % enc.len();
+        prop_assert!(
+            decode_paged(&enc[..cut]).is_err(),
+            "torn prefix of {} / {} bytes accepted",
+            cut,
+            enc.len()
+        );
     }
 
-    /// A single flipped byte anywhere in a snapshot is caught (by the CRC
-    /// footer or by the structure of the body) and rejected with an
-    /// error.
+    /// A single flipped byte anywhere in a checkpoint is caught (by a
+    /// frame CRC or the magic) and rejected with an error.
     #[test]
     fn snapshot_flipped_byte_rejected(
         art_ix in 0usize..3,
         epoch in 0u64..1u64 << 40,
         pos in 0usize..1_000_000,
+        flip in 1u8..255,
     ) {
         let (_, state) = &synth_artifacts()[art_ix];
-        let enc = encode_snapshot(epoch, 0xFEED_F00D_u64, state);
-        let mut bytes = enc.clone().into_bytes();
+        let (mut bytes, _, _) = encode_base(epoch, 0xFEED_F00D_u64, state);
         let pos = pos % bytes.len();
-        // Stay ASCII so the corrupted file is still valid UTF-8 (binary
-        // garbage is rejected upstream when the file is read as text).
-        bytes[pos] = if bytes[pos] == b'#' { b'%' } else { b'#' };
-        let corrupt = String::from_utf8(bytes).unwrap();
-        prop_assert!(corrupt != enc);
-        prop_assert!(
-            decode_snapshot(&corrupt).is_err(),
-            "flipped byte at {} accepted",
-            pos
-        );
+        bytes[pos] ^= flip;
+        prop_assert!(decode_paged(&bytes).is_err(), "flipped byte at {} accepted", pos);
+    }
+
+    /// Structure-aware mutation: one byte inside one frame's payload is
+    /// changed and the frame re-checksummed, so the corruption reaches
+    /// the structural decoder. The decoder (and a merge of whatever it
+    /// accepts) returns a state or a classified error — never a panic.
+    #[test]
+    fn recrced_frame_mutation_is_classified_not_a_panic(
+        art_ix in 0usize..3,
+        frame_ix in 0usize..1_000_000,
+        offset in 0usize..1_000_000,
+        value in any::<u8>(),
+    ) {
+        let (_, state) = &synth_artifacts()[art_ix];
+        let (mut bytes, _, _) = encode_base(3, 0xFEED_F00D_u64, state);
+        let frames = frame_payloads(&bytes);
+        let (start, len) = frames[frame_ix % frames.len()];
+        prop_assume!(len > 0);
+        bytes[start + offset % len] = value;
+        let crc = crc32(&bytes[start..start + len]);
+        bytes[start - 4..start].copy_from_slice(&crc.to_le_bytes());
+        if let Ok(snap) = decode_paged(&bytes) {
+            let _ = merge_chain(snap, vec![]);
+        }
     }
 }
 
@@ -274,6 +314,7 @@ fn empty_and_stub_inputs_rejected() {
     assert!(mdb::decode_constraint("").is_err());
     assert!(mdb::parse_data_type("").is_err());
     assert!(mdb::parse_data_type("CHAR(").is_err());
-    assert!(decode_snapshot("").is_err());
-    assert!(decode_snapshot("RIDLSNAP 1\n").is_err(), "missing footer");
+    assert!(decode_paged(b"").is_err());
+    let v1 = decode_paged(b"RIDLSNAP 1\n").unwrap_err();
+    assert!(v1.0.contains("retired v1"), "v1 stub: {v1}");
 }
